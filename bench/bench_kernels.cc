@@ -1,8 +1,9 @@
 // Kernel micro-benchmarks (google-benchmark): the cost of every building
 // block the DHGCN pipeline uses, plus the design-choice ablations called
 // out in DESIGN.md — the overhead of hypergraph aggregation vs a dense
-// matmul, of the dynamic-operator construction (K-NN, K-means, moving
-// distance), and of a full DHST block against its three-branch parts.
+// matmul, of the dynamic-operator construction (topology operators,
+// moving distance), and of a full DHST block against its three-branch
+// parts.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +20,6 @@
 #include "data/synthetic_generator.h"
 #include "data/transforms.h"
 #include "hypergraph/hypergraph_conv.h"
-#include "hypergraph/kmeans.h"
 #include "hypergraph/graph.h"
 #include "hypergraph/knn.h"
 #include "nn/conv2d.h"
@@ -286,26 +286,6 @@ void BM_PairwiseDistances(benchmark::State& state) {
 }
 BENCHMARK(BM_PairwiseDistances)->Arg(3)->Arg(64);
 
-void BM_KnnHyperedges(benchmark::State& state) {
-  Rng rng(8);
-  Tensor features = Tensor::RandomNormal({25, 16}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KnnHyperedges(features, state.range(0)));
-  }
-}
-BENCHMARK(BM_KnnHyperedges)->Arg(2)->Arg(3)->Arg(4);
-
-void BM_KMeansHyperedges(benchmark::State& state) {
-  Rng feature_rng(9);
-  Tensor features = Tensor::RandomNormal({25, 16}, feature_rng);
-  for (auto _ : state) {
-    Rng rng(10);
-    benchmark::DoNotOptimize(
-        KMeansHyperedges(features, state.range(0), rng));
-  }
-}
-BENCHMARK(BM_KMeansHyperedges)->Arg(3)->Arg(4)->Arg(5);
-
 void BM_MovingDistances(benchmark::State& state) {
   Rng rng(11);
   Tensor coords = Tensor::RandomNormal({4, 3, 32, 25}, rng);
@@ -327,17 +307,19 @@ void BM_DynamicJointWeightOperators(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicJointWeightOperators)->Arg(16)->Arg(32);
 
+// The whole per-frame construction (distances, K-NN, K-means, Eq. 5
+// operator) at the paper's eval shape: N=4, C=64, T=32, V=25.
 void BM_DynamicTopologyOperators(benchmark::State& state) {
   Rng rng(13);
-  Tensor features = Tensor::RandomNormal({2, 16, state.range(0), 25}, rng);
+  Tensor features = Tensor::RandomNormal({4, 64, 32, 25}, rng);
   DynamicTopologyOptions options;
-  options.kn = 3;
-  options.km = 4;
+  Tensor ops({4, 32, 25, 25});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DynamicTopologyOperators(features, options));
+    DynamicTopologyOperatorsInto(features, options, &ops);
+    benchmark::DoNotOptimize(ops.data());
   }
 }
-BENCHMARK(BM_DynamicTopologyOperators)->Arg(8)->Arg(16);
+BENCHMARK(BM_DynamicTopologyOperators);
 
 // --- Blocks and full model ------------------------------------------------------
 
@@ -448,16 +430,21 @@ void BM_Conv2dThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_PairwiseDistancesThreads(benchmark::State& state) {
+// Frame-parallel topology construction at the paper's eval shape.
+void BM_DynamicTopologyOperatorsThreads(benchmark::State& state) {
   ThreadPool::Get().SetThreads(state.range(0));
   Rng rng(21);
-  Tensor features = Tensor::RandomNormal({256, 64}, rng);
+  Tensor features = Tensor::RandomNormal({4, 64, 32, 25}, rng);
+  DynamicTopologyOptions options;
+  Tensor ops({4, 32, 25, 25});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PairwiseDistances(features));
+    DynamicTopologyOperatorsInto(features, options, &ops);
+    benchmark::DoNotOptimize(ops.data());
   }
   ThreadPool::Get().SetThreads(1);
 }
-BENCHMARK(BM_PairwiseDistancesThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_DynamicTopologyOperatorsThreads)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // --- Data pipeline -----------------------------------------------------------------
 

@@ -5,36 +5,66 @@
 
 #include "base/check.h"
 #include "hypergraph/hypergraph_conv.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/workspace.h"
 
 namespace dhgcn {
 
-Tensor MovingDistances(const Tensor& coords, Workspace* ws) {
-  DHGCN_CHECK_EQ(coords.ndim(), 4);
-  int64_t n = coords.dim(0), c = coords.dim(1), t = coords.dim(2),
-          v = coords.dim(3);
-  DHGCN_CHECK_GE(t, 2);
-  int64_t coord_channels = std::min<int64_t>(c, 3);
-  Tensor dist = NewTensor(ws, {n, t, v});
+namespace {
+
+// Eq. 6 for frame `tt` of sample `b` of coords (N, C, T, V) into `dist`
+// (V): distance to the previous frame over the first min(C, 3)
+// channels; frame 0 takes frame 1's distances so it is weighted too.
+void FrameMovingDistances(const Tensor& coords, int64_t b, int64_t tt,
+                          float* dist) {
+  const int64_t c = coords.dim(1), t = coords.dim(2), v = coords.dim(3);
+  const int64_t coord_channels = std::min<int64_t>(c, 3);
+  const int64_t from = tt == 0 ? 1 : tt;
   const float* px = coords.data();
-  float* pd = dist.data();
-  int64_t plane = t * v;
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t tt = 1; tt < t; ++tt) {
-      for (int64_t j = 0; j < v; ++j) {
-        double acc = 0.0;
-        for (int64_t ch = 0; ch < coord_channels; ++ch) {
-          const float* xplane = px + (b * c + ch) * plane;
-          double diff = static_cast<double>(xplane[tt * v + j]) -
-                        xplane[(tt - 1) * v + j];
-          acc += diff * diff;
-        }
-        pd[(b * t + tt) * v + j] = static_cast<float>(std::sqrt(acc));
+  for (int64_t j = 0; j < v; ++j) {
+    double acc = 0.0;
+    for (int64_t ch = 0; ch < coord_channels; ++ch) {
+      const float* xplane = px + (b * c + ch) * t * v;
+      double diff = static_cast<double>(xplane[from * v + j]) -
+                    xplane[(from - 1) * v + j];
+      acc += diff * diff;
+    }
+    dist[j] = static_cast<float>(std::sqrt(acc));
+  }
+}
+
+// Imp (V, E) of one frame into the zeroed row-major `imp` (Eqs. 7–8).
+void FillJointWeightIncidence(const float* frame_distances,
+                              const Hypergraph& hypergraph, float* imp) {
+  const int64_t num_edges = hypergraph.num_edges();
+  constexpr float kEps = 1e-6f;
+  for (int64_t e = 0; e < num_edges; ++e) {
+    const Hyperedge& edge = hypergraph.edges()[static_cast<size_t>(e)];
+    double total = 0.0;
+    for (int64_t vtx : edge) total += frame_distances[vtx];
+    if (total < kEps) {
+      // No motion on this hyperedge: uniform share.
+      float uniform = 1.0f / static_cast<float>(edge.size());
+      for (int64_t vtx : edge) imp[vtx * num_edges + e] = uniform;
+    } else {
+      for (int64_t vtx : edge) {
+        imp[vtx * num_edges + e] =
+            static_cast<float>(frame_distances[vtx] / total);
       }
     }
-    // Frame 0 copies frame 1 so the first frame is weighted too.
-    for (int64_t j = 0; j < v; ++j) {
-      pd[(b * t + 0) * v + j] = pd[(b * t + 1) * v + j];
+  }
+}
+
+}  // namespace
+
+Tensor MovingDistances(const Tensor& coords, Workspace* ws) {
+  DHGCN_CHECK_EQ(coords.ndim(), 4);
+  int64_t n = coords.dim(0), t = coords.dim(2), v = coords.dim(3);
+  DHGCN_CHECK_GE(t, 2);
+  Tensor dist = NewTensor(ws, {n, t, v});
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t tt = 0; tt < t; ++tt) {
+      FrameMovingDistances(coords, b, tt, dist.data() + (b * t + tt) * v);
     }
   }
   return dist;
@@ -44,24 +74,9 @@ Tensor JointWeightIncidence(const Tensor& frame_distances,
                             const Hypergraph& hypergraph, Workspace* ws) {
   DHGCN_CHECK_EQ(frame_distances.ndim(), 1);
   DHGCN_CHECK_EQ(frame_distances.dim(0), hypergraph.num_vertices());
-  int64_t num_edges = hypergraph.num_edges();
-  Tensor imp = NewZeroedTensor(ws, {hypergraph.num_vertices(), num_edges});
-  constexpr float kEps = 1e-6f;
-  for (int64_t e = 0; e < num_edges; ++e) {
-    const Hyperedge& edge = hypergraph.edges()[static_cast<size_t>(e)];
-    double total = 0.0;
-    for (int64_t vtx : edge) total += frame_distances.flat(vtx);
-    if (total < kEps) {
-      // No motion on this hyperedge: uniform share.
-      float uniform = 1.0f / static_cast<float>(edge.size());
-      for (int64_t vtx : edge) imp.at(vtx, e) = uniform;
-    } else {
-      for (int64_t vtx : edge) {
-        imp.at(vtx, e) =
-            static_cast<float>(frame_distances.flat(vtx) / total);
-      }
-    }
-  }
+  Tensor imp = NewZeroedTensor(
+      ws, {hypergraph.num_vertices(), hypergraph.num_edges()});
+  FillJointWeightIncidence(frame_distances.data(), hypergraph, imp.data());
   return imp;
 }
 
@@ -69,22 +84,38 @@ Tensor DynamicJointWeightOperators(const Tensor& coords,
                                    const Hypergraph& hypergraph,
                                    Workspace* ws) {
   DHGCN_CHECK_EQ(coords.ndim(), 4);
-  int64_t n = coords.dim(0), t = coords.dim(2), v = coords.dim(3);
+  Tensor ops = NewTensor(
+      ws, {coords.dim(0), coords.dim(2), coords.dim(3), coords.dim(3)});
+  DynamicJointWeightOperatorsInto(coords, hypergraph, &ops);
+  return ops;
+}
+
+void DynamicJointWeightOperatorsInto(const Tensor& coords,
+                                     const Hypergraph& hypergraph,
+                                     Tensor* out) {
+  DHGCN_CHECK_EQ(coords.ndim(), 4);
+  const int64_t n = coords.dim(0), t = coords.dim(2), v = coords.dim(3);
   DHGCN_CHECK_EQ(v, hypergraph.num_vertices());
-  Tensor distances = MovingDistances(coords, ws);  // (N, T, V)
-  Tensor ops = NewTensor(ws, {n, t, v, v});
-  float* po = ops.data();
+  DHGCN_CHECK_GE(t, 2);
+  DHGCN_CHECK(ShapesEqual(out->shape(), {n, t, v, v}));
+  const int64_t num_edges = hypergraph.num_edges();
+  // One frame's moving distances (V) and incidence (V, E), reused
+  // across frames: no per-frame allocation.
+  Workspace& scratch = detail::KernelOpScratch();
+  Tensor block = scratch.Acquire({v + v * num_edges});
+  float* dist = block.data();
+  float* imp = dist + v;
+  float* po = out->data();
   for (int64_t b = 0; b < n; ++b) {
     for (int64_t tt = 0; tt < t; ++tt) {
-      Tensor frame = NewTensor(ws, {v});
-      const float* pd = distances.data() + (b * t + tt) * v;
-      std::copy(pd, pd + v, frame.data());
-      Tensor imp = JointWeightIncidence(frame, hypergraph, ws);
-      Tensor op = WeightedIncidenceOperator(imp, ws);  // (V, V)
-      std::copy(op.data(), op.data() + v * v, po + (b * t + tt) * v * v);
+      FrameMovingDistances(coords, b, tt, dist);
+      std::fill(imp, imp + v * num_edges, 0.0f);
+      FillJointWeightIncidence(dist, hypergraph, imp);
+      WeightedIncidenceOperatorInto(imp, v, num_edges,
+                                    po + (b * t + tt) * v * v);
     }
   }
-  return ops;
+  scratch.Reset();
 }
 
 Tensor StrideOperatorsInTime(const Tensor& ops, int64_t stride,

@@ -33,6 +33,14 @@ Tensor DynamicJointWeightOperators(const Tensor& coords,
                                    const Hypergraph& hypergraph,
                                    Workspace* ws = nullptr);
 
+/// \brief DynamicJointWeightOperators into a pre-shaped (N, T, V, V)
+/// `out`: frame by frame on one reused scratch block, no per-frame
+/// allocation; same bits as composing MovingDistances,
+/// JointWeightIncidence and WeightedIncidenceOperator.
+void DynamicJointWeightOperatorsInto(const Tensor& coords,
+                                     const Hypergraph& hypergraph,
+                                     Tensor* out);
+
 /// \brief Strides operator tensors (N, T, V, V) along T (keeping frames
 /// 0, s, 2s, ...) so they track temporal down-sampling inside the model.
 Tensor StrideOperatorsInTime(const Tensor& ops, int64_t stride,

@@ -4,58 +4,103 @@
 
 #include "base/check.h"
 #include "base/rng.h"
-#include "hypergraph/hypergraph_conv.h"
-#include "hypergraph/kmeans.h"
-#include "hypergraph/knn.h"
+#include "base/thread_pool.h"
+#include "hypergraph/frame_topology.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/workspace.h"
 
 namespace dhgcn {
 
+namespace {
+
+// Upper bound on frame chunks per call: each chunk carves its own frame
+// scratch, so this caps the scratch block while leaving enough chunks to
+// balance a pool.
+constexpr int64_t kMaxTopologyChunks = 16;
+
+// The K-means seed of frame t (every sample's frame t draws the same
+// initial medoids).
+Rng FrameRng(const DynamicTopologyOptions& options, uint64_t frame_seed) {
+  return Rng(options.seed * 1000003ULL + frame_seed);
+}
+
+}  // namespace
+
 Hypergraph DynamicTopologyHypergraph(const Tensor& features,
                                      const DynamicTopologyOptions& options,
-                                     uint64_t frame_seed, Workspace* ws) {
+                                     uint64_t frame_seed) {
   DHGCN_CHECK_EQ(features.ndim(), 2);
-  int64_t v = features.dim(0);
-  DHGCN_CHECK(options.kn >= 1 && options.kn <= v);
-  DHGCN_CHECK(options.km >= 1 && options.km <= v);
-
-  std::vector<Hyperedge> common = KnnHyperedges(features, options.kn, ws);
-  Rng kmeans_rng(options.seed * 1000003ULL + frame_seed);
-  std::vector<Hyperedge> global = KMeansHyperedges(
-      features, options.km, kmeans_rng, options.kmeans_max_iters, ws);
-
-  Hypergraph common_graph(v, std::move(common));
-  Hypergraph global_graph(v, std::move(global));
-  return common_graph.UnionWith(global_graph);
+  const int64_t v = features.dim(0);
+  std::vector<Hyperedge> edges;
+  edges.reserve(static_cast<size_t>(v + options.km));
+  WithFrameTopology(features, options.kn, options.km,
+                    [&](FrameTopology& frame) {
+                      frame.SelectKnn();
+                      Rng rng = FrameRng(options, frame_seed);
+                      frame.RunKMeans(rng, options.kmeans_max_iters);
+                      for (int64_t i = 0; i < v; ++i) {
+                        edges.emplace_back(frame.knn_edge(i),
+                                           frame.knn_edge(i) + options.kn);
+                      }
+                      for (int64_t c = 0; c < options.km; ++c) {
+                        edges.emplace_back(
+                            frame.cluster(c),
+                            frame.cluster(c) + frame.cluster_size(c));
+                      }
+                    });
+  return Hypergraph(v, std::move(edges));
 }
 
 Tensor DynamicTopologyOperators(const Tensor& features,
                                 const DynamicTopologyOptions& options,
                                 Workspace* ws) {
   DHGCN_CHECK_EQ(features.ndim(), 4);
-  int64_t n = features.dim(0), c = features.dim(1), t = features.dim(2),
-          v = features.dim(3);
-  Tensor ops = NewTensor(ws, {n, t, v, v});
-  const float* px = features.data();
-  float* po = ops.data();
-  int64_t plane = t * v;
-  Tensor frame_features = NewTensor(ws, {v, c});
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t tt = 0; tt < t; ++tt) {
-      // Gather the frame's vertex features (V, C) from (C, T, V) layout.
-      for (int64_t j = 0; j < v; ++j) {
-        for (int64_t ch = 0; ch < c; ++ch) {
-          frame_features.at(j, ch) =
-              px[(b * c + ch) * plane + tt * v + j];
-        }
-      }
-      Hypergraph hypergraph = DynamicTopologyHypergraph(
-          frame_features, options, static_cast<uint64_t>(tt), ws);
-      Tensor op = NormalizedHypergraphOperator(hypergraph, ws);
-      std::copy(op.data(), op.data() + v * v, po + (b * t + tt) * v * v);
-    }
-  }
+  Tensor ops = NewTensor(
+      ws, {features.dim(0), features.dim(2), features.dim(3), features.dim(3)});
+  DynamicTopologyOperatorsInto(features, options, &ops);
   return ops;
+}
+
+void DynamicTopologyOperatorsInto(const Tensor& features,
+                                  const DynamicTopologyOptions& options,
+                                  Tensor* out) {
+  DHGCN_CHECK_EQ(features.ndim(), 4);
+  const int64_t n = features.dim(0), c = features.dim(1),
+                t = features.dim(2), v = features.dim(3);
+  DHGCN_CHECK(ShapesEqual(out->shape(), {n, t, v, v}));
+  DHGCN_CHECK(options.kn >= 1 && options.kn <= v);
+  DHGCN_CHECK(options.km >= 1 && options.km <= v);
+  const int64_t frames = n * t;
+  if (frames == 0) return;
+  // Shape-only grain: whole frames per chunk, at most kMaxTopologyChunks
+  // chunks, each with its own frame scratch carved from one block that
+  // is borrowed on this thread before dispatch.
+  const int64_t grain =
+      std::max(GrainForFlops(v * v * c),
+               (frames + kMaxTopologyChunks - 1) / kMaxTopologyChunks);
+  const int64_t chunks = (frames + grain - 1) / grain;
+  const size_t frame_bytes =
+      FrameTopology::ScratchBytes(v, c, options.kn, options.km);
+  Workspace& scratch = detail::KernelOpScratch();
+  Tensor block = scratch.Acquire(
+      {chunks * static_cast<int64_t>(frame_bytes / sizeof(float))});
+  char* base = reinterpret_cast<char*>(block.data());
+  const float* px = features.data();
+  float* po = out->data();
+  ThreadPool::Get().ParallelFor(0, frames, grain, [&](int64_t f0, int64_t f1) {
+    FrameTopology frame(base + (f0 / grain) * frame_bytes, v, c, options.kn,
+                        options.km);
+    for (int64_t f = f0; f < f1; ++f) {
+      const int64_t b = f / t, tt = f % t;
+      frame.Load(px + (b * c * t + tt) * v, 1, t * v);
+      frame.ComputeDistances();
+      frame.SelectKnn();
+      Rng rng = FrameRng(options, static_cast<uint64_t>(tt));
+      frame.RunKMeans(rng, options.kmeans_max_iters);
+      frame.AssembleOperator(po + f * v * v);
+    }
+  });
+  scratch.Reset();
 }
 
 }  // namespace dhgcn

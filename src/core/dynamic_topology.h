@@ -26,8 +26,7 @@ struct DynamicTopologyOptions {
 /// and the K-means "global information" hyperedges.
 Hypergraph DynamicTopologyHypergraph(const Tensor& features,
                                      const DynamicTopologyOptions& options,
-                                     uint64_t frame_seed = 0,
-                                     Workspace* ws = nullptr);
+                                     uint64_t frame_seed = 0);
 
 /// \brief Dynamic-topology operators for a feature map (N, C, T, V):
 /// per sample and frame, vertices are embedded with their C-dim feature
@@ -40,6 +39,18 @@ Hypergraph DynamicTopologyHypergraph(const Tensor& features,
 Tensor DynamicTopologyOperators(const Tensor& features,
                                 const DynamicTopologyOptions& options,
                                 Workspace* ws = nullptr);
+
+/// \brief DynamicTopologyOperators into a pre-shaped (N, T, V, V) `out`.
+///
+/// One flat pass over the N·T frames, partitioned across the ThreadPool:
+/// each frame is gathered, its distances computed once and its K-NN,
+/// K-means and operator built in scratch carved from one kernel-op arena
+/// block (no per-frame allocation). A frame's output depends only on its
+/// features and its index t, so the result is bit-identical for every
+/// thread count (see DESIGN.md, "Dynamic topology kernel").
+void DynamicTopologyOperatorsInto(const Tensor& features,
+                                  const DynamicTopologyOptions& options,
+                                  Tensor* out);
 
 }  // namespace dhgcn
 

@@ -1,5 +1,6 @@
 #include "hypergraph/hypergraph_conv.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/check.h"
@@ -7,6 +8,7 @@
 #include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "plan/plan_builder.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/linalg.h"
 #include "tensor/sparse_router.h"
 #include "tensor/tensor_ops.h"
@@ -16,18 +18,18 @@ namespace dhgcn {
 
 namespace {
 
-// Process-wide CSR scratch for the free-function incidence operators
-// (capacity reused across the per-frame dynamic-topology loop). Built
-// and consumed on the compute-driving thread only — the library is
-// externally single-threaded (see ThreadPool), and concurrent serve
-// workers serialize compute behind the server's compute lease — so the
-// Meyers static needs no guard, same as the GEMM packing scratch.
+// Process-wide CSR scratch for NormalizedHypergraphOperator (capacity
+// reused across calls). Built and consumed on the compute-driving
+// thread only — the library is externally single-threaded (see
+// ThreadPool), and concurrent serve workers serialize compute behind
+// the server's compute lease — so the Meyers static needs no guard,
+// same as the GEMM packing scratch.
 CsrMatrix& IncidenceCsrScratch() {
   static CsrMatrix scratch(1, 1);
   return scratch;
 }
 
-// First-decision-only debug log: the dynamic-topology loop would
+// First-decision-only debug log: the per-frame operator loops would
 // otherwise emit thousands of identical lines per step.
 void LogRouteOnce(bool* logged, const char* what, double density,
                   bool routed) {
@@ -90,19 +92,35 @@ Tensor NormalizedHypergraphOperator(const Hypergraph& hypergraph,
 Tensor WeightedIncidenceOperator(const Tensor& imp, Workspace* ws) {
   DHGCN_CHECK_EQ(imp.ndim(), 2);
   Tensor out = NewTensor(ws, {imp.dim(0), imp.dim(0)});
-  double density = SparseRouter::MeasureDensity(imp);
+  WeightedIncidenceOperatorInto(imp.data(), imp.dim(0), imp.dim(1),
+                                out.data());
+  return out;
+}
+
+void WeightedIncidenceOperatorInto(const float* imp, int64_t rows,
+                                   int64_t cols, float* out) {
+  double density = SparseRouter::MeasureDensity(imp, rows * cols);
   bool routed = SparseRouter::Get().ShouldRoute(density);
   static bool logged = false;
   LogRouteOnce(&logged, "WeightedIncidenceOperator", density, routed);
-  if (routed) {
-    CsrMatrix& csr = IncidenceCsrScratch();
-    csr.AssignFromDense(imp);
-    SpMMTransposedBInto(imp, csr, &out);
-  } else {
-    // lint: allow-sparse-route (router dense fallback)
-    MatMulTransposedBInto(imp, imp, &out);
+  // out[i][j] is the ascending-e double dot of rows i and j — the dense
+  // GemmTransposedB terms. The CSR route compresses the right operand,
+  // dropping the entries that are not |x| > 0 (zeros, and NaN), so it
+  // skips exactly those terms; replaying that skip keeps both routes'
+  // bits, non-finite inputs included, with no CSR image or tensor per
+  // call.
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* irow = imp + i * cols;
+    for (int64_t j = 0; j < rows; ++j) {
+      const float* jrow = imp + j * cols;
+      double acc = 0.0;
+      for (int64_t e = 0; e < cols; ++e) {
+        if (routed && !(std::fabs(jrow[e]) > 0.0f)) continue;
+        acc += static_cast<double>(irow[e]) * jrow[e];
+      }
+      out[i * rows + j] = static_cast<float>(acc);
+    }
   }
-  return out;
 }
 
 VertexMix::VertexMix(Tensor op, bool learnable)
@@ -323,23 +341,57 @@ void DynamicVertexMix::MixPlan(const Tensor& input, const Tensor& ops,
     }
     return;
   }
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t tt = 0; tt < t; ++tt) {
-      const float* m = pops + (b * t + tt) * v * v;
+  // Dense path, frame-parallel (a frame owns its C output rows). Each
+  // frame's operator is transposed once, widened to double and padded
+  // to whole tiles of kMixTile output vertices, so a tile's accumulators
+  // stay in registers while u runs ascending: every output element still
+  // takes the terms of a scalar dot product in the same order, so the
+  // bits do not change (the products are of two floats, exact in
+  // double, so FMA contraction could not change them either). Padded
+  // lanes only ever hold zeros times inputs and are never stored.
+  constexpr int64_t kMixTile = 8;
+  const int64_t vp = (v + kMixTile - 1) / kMixTile * kMixTile;
+  // Shape-only grain; at most kMaxMixChunks chunks, each with its own
+  // operator scratch.
+  constexpr int64_t kMaxMixChunks = 16;
+  const int64_t frames = n * t;
+  const int64_t grain =
+      std::max(GrainForFlops(c * v * v),
+               (frames + kMaxMixChunks - 1) / kMaxMixChunks);
+  const int64_t chunks = (frames + grain - 1) / grain;
+  Workspace& scratch = detail::KernelOpScratch();
+  // (V, vp) doubles per chunk, as float pairs.
+  Tensor block = scratch.Acquire({chunks * v * vp * 2});
+  double* base = reinterpret_cast<double*>(block.data());
+  ThreadPool::Get().ParallelFor(0, frames, grain, [&](int64_t f0, int64_t f1) {
+    double* mt = base + (f0 / grain) * v * vp;  // (V, vp): mt[u][vi]
+    for (int64_t f = f0; f < f1; ++f) {
+      const int64_t b = f / t, tt = f % t;
+      const float* m = pops + f * v * v;
+      for (int64_t u = 0; u < v; ++u) {
+        double* mtrow = mt + u * vp;
+        for (int64_t vi = 0; vi < v; ++vi) mtrow[vi] = m[vi * v + u];
+        for (int64_t vi = v; vi < vp; ++vi) mtrow[vi] = 0.0;
+      }
       for (int64_t ch = 0; ch < c; ++ch) {
         const float* xrow = px + ((b * c + ch) * t + tt) * v;
         float* orow = po + ((b * c + ch) * t + tt) * v;
-        for (int64_t vi = 0; vi < v; ++vi) {
-          const float* mrow = m + vi * v;
-          double acc = 0.0;
+        for (int64_t v0 = 0; v0 < v; v0 += kMixTile) {
+          double acc[kMixTile] = {};
           for (int64_t u = 0; u < v; ++u) {
-            acc += static_cast<double>(mrow[u]) * xrow[u];
+            const double xu = xrow[u];
+            const double* mtile = mt + u * vp + v0;
+            for (int64_t j = 0; j < kMixTile; ++j) acc[j] += mtile[j] * xu;
           }
-          orow[vi] = static_cast<float>(acc);
+          const int64_t cols = std::min(kMixTile, v - v0);
+          for (int64_t j = 0; j < cols; ++j) {
+            orow[v0 + j] = static_cast<float>(acc[j]);
+          }
         }
       }
     }
-  }
+  });
+  scratch.Reset();
 }
 
 Tensor DynamicVertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) {

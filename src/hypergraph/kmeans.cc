@@ -1,126 +1,30 @@
 #include "hypergraph/kmeans.h"
 
-#include <algorithm>
-#include <limits>
-
-#include "base/check.h"
-#include "base/thread_pool.h"
-#include "hypergraph/knn.h"
-#include "tensor/workspace.h"
+#include "hypergraph/frame_topology.h"
 
 namespace dhgcn {
 
-namespace {
-
-// Medoid of a cluster: the member with minimal mean distance to the other
-// members (ties -> lowest vertex index). Singleton clusters keep their
-// only member.
-int64_t ClusterMedoid(const Tensor& dist, const Hyperedge& members) {
-  DHGCN_CHECK(!members.empty());
-  int64_t v = dist.dim(0);
-  int64_t best = members[0];
-  double best_mean = std::numeric_limits<double>::infinity();
-  for (int64_t candidate : members) {
-    double total = 0.0;
-    for (int64_t other : members) {
-      total += dist.flat(candidate * v + other);
-    }
-    double mean = total / static_cast<double>(members.size());
-    if (mean < best_mean ||
-        (mean == best_mean && candidate < best)) {
-      best_mean = mean;
-      best = candidate;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 KMeansResult KMeansClusters(const Tensor& features, int64_t k, Rng& rng,
-                            int64_t max_iters, Workspace* ws) {
-  DHGCN_CHECK_EQ(features.ndim(), 2);
-  int64_t v = features.dim(0);
-  DHGCN_CHECK(k >= 1 && k <= v);
-  DHGCN_CHECK_GT(max_iters, 0);
-
-  Tensor dist = PairwiseDistances(features, ws);
+                            int64_t max_iters) {
   KMeansResult result;
-  result.medoids = rng.SampleWithoutReplacement(v, k);
-  std::sort(result.medoids.begin(), result.medoids.end());
-
-  const float* pdist = dist.data();
-  std::vector<int64_t> assignment(static_cast<size_t>(v));
-  for (int64_t iter = 0; iter < max_iters; ++iter) {
-    result.iterations = iter + 1;
-    // Assignment step: each vertex joins its nearest medoid
-    // (ties -> lowest cluster index). The per-node argmin fills a slot in
-    // `assignment` (node-parallel, disjoint writes); the gather into
-    // clusters stays serial in ascending node order so member lists are
-    // identical for every thread count.
-    const int64_t* pmedoids = result.medoids.data();
-    int64_t* passign = assignment.data();
-    ThreadPool::Get().ParallelFor(
-        0, v, GrainForFlops(k), [&](int64_t n0, int64_t n1) {
-          for (int64_t node = n0; node < n1; ++node) {
-            int64_t best_cluster = 0;
-            float best_dist = pdist[node * v + pmedoids[0]];
-            for (int64_t c = 1; c < k; ++c) {
-              float d = pdist[node * v + pmedoids[c]];
-              if (d < best_dist) {
-                best_dist = d;
-                best_cluster = c;
-              }
-            }
-            passign[node] = best_cluster;
-          }
-        });
-    std::vector<Hyperedge> clusters(static_cast<size_t>(k));
-    for (int64_t node = 0; node < v; ++node) {
-      clusters[static_cast<size_t>(passign[node])].push_back(node);
+  WithFrameTopology(features, 1, k, [&](FrameTopology& frame) {
+    frame.RunKMeans(rng, max_iters);
+    result.clusters.reserve(static_cast<size_t>(k));
+    result.medoids.reserve(static_cast<size_t>(k));
+    for (int64_t c = 0; c < k; ++c) {
+      result.clusters.emplace_back(frame.cluster(c),
+                                   frame.cluster(c) + frame.cluster_size(c));
+      result.medoids.push_back(frame.medoid(c));
     }
-    // Reseed empty clusters with the vertex farthest from its own medoid,
-    // stolen from a cluster with more than one member.
-    for (size_t c = 0; c < clusters.size(); ++c) {
-      if (!clusters[c].empty()) continue;
-      int64_t steal_cluster = -1;
-      int64_t steal_node = -1;
-      float steal_dist = -1.0f;
-      for (size_t c2 = 0; c2 < clusters.size(); ++c2) {
-        if (clusters[c2].size() <= 1) continue;
-        for (int64_t node : clusters[c2]) {
-          float d = dist.flat(node * v + result.medoids[c2]);
-          if (d > steal_dist) {
-            steal_dist = d;
-            steal_node = node;
-            steal_cluster = static_cast<int64_t>(c2);
-          }
-        }
-      }
-      DHGCN_CHECK_GE(steal_node, 0);  // k <= v guarantees a donor exists
-      auto& donor = clusters[static_cast<size_t>(steal_cluster)];
-      donor.erase(std::find(donor.begin(), donor.end(), steal_node));
-      clusters[c].push_back(steal_node);
-    }
-    // Update step: recompute medoids.
-    std::vector<int64_t> new_medoids(static_cast<size_t>(k));
-    for (size_t c = 0; c < clusters.size(); ++c) {
-      new_medoids[c] = ClusterMedoid(dist, clusters[c]);
-    }
-    result.clusters = std::move(clusters);
-    if (new_medoids == result.medoids) {
-      result.converged = true;
-      break;
-    }
-    result.medoids = std::move(new_medoids);
-  }
+    result.iterations = frame.kmeans_iterations();
+    result.converged = frame.kmeans_converged();
+  });
   return result;
 }
 
 std::vector<Hyperedge> KMeansHyperedges(const Tensor& features, int64_t k,
-                                        Rng& rng, int64_t max_iters,
-                                        Workspace* ws) {
-  return KMeansClusters(features, k, rng, max_iters, ws).clusters;
+                                        Rng& rng, int64_t max_iters) {
+  return KMeansClusters(features, k, rng, max_iters).clusters;
 }
 
 }  // namespace dhgcn

@@ -10,8 +10,6 @@
 
 namespace dhgcn {
 
-class Workspace;
-
 /// \brief Result of a medoid-based K-means run over vertex features.
 struct KMeansResult {
   /// Disjoint clusters covering all vertices; cluster i's vertices.
@@ -33,17 +31,16 @@ struct KMeansResult {
 /// other members; repeat until the centroids stop moving (the paper's
 /// "change of the position of the centroid is 0") or `max_iters` is hit.
 /// Clusters that become empty are reseeded with the vertex farthest from
-/// its current centroid so exactly k non-empty clusters are returned.
+/// its current centroid so exactly k non-empty clusters are returned
+/// (NaN distances count as farthest).
 ///
 /// `features` is (V, F); requires 1 <= k <= V.
 KMeansResult KMeansClusters(const Tensor& features, int64_t k, Rng& rng,
-                            int64_t max_iters = 20,
-                            Workspace* ws = nullptr);
+                            int64_t max_iters = 20);
 
 /// Convenience: the clusters of KMeansClusters as hyperedges.
 std::vector<Hyperedge> KMeansHyperedges(const Tensor& features, int64_t k,
-                                        Rng& rng, int64_t max_iters = 20,
-                                        Workspace* ws = nullptr);
+                                        Rng& rng, int64_t max_iters = 20);
 
 }  // namespace dhgcn
 

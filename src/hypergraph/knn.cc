@@ -1,53 +1,20 @@
 #include "hypergraph/knn.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 
 #include "base/check.h"
-#include "base/thread_pool.h"
-#include "tensor/gemm_kernel.h"
-#include "tensor/linalg.h"
+#include "hypergraph/frame_topology.h"
 #include "tensor/workspace.h"
 
 namespace dhgcn {
 
 Tensor PairwiseDistances(const Tensor& features, Workspace* ws) {
   DHGCN_CHECK_EQ(features.ndim(), 2);
-  int64_t v = features.dim(0), f = features.dim(1);
+  const int64_t v = features.dim(0);
   Tensor dist = NewTensor(ws, {v, v});
-  const float* px = features.data();
-  float* pd = dist.data();
-  // GEMM formulation: dist(i, j) = sqrt(G_ii + G_jj - 2 G_ij) for the
-  // Gram matrix G = X X^T, so the O(v² f) work rides the blocked matmul
-  // kernel instead of a scalar difference loop. X^T is staged in the
-  // kernel scratch arena (no owning allocations). G is bitwise symmetric
-  // — G_ij and G_ji run the identical ascending-p accumulation with the
-  // factors swapped inside a commutative multiply — so the distance
-  // matrix stays exactly symmetric, and the diagonal is written as an
-  // exact zero rather than computed. max(., 0) guards the tiny negative
-  // residuals cancellation can leave for near-duplicate rows.
-  Workspace& scratch = detail::KernelOpScratch();
-  Tensor xt = scratch.Acquire({f, v});
-  detail::GemmPackTransposed(px, v, f, xt.data());
-  Tensor gram = scratch.Acquire({v, v});
-  MatMulInto(features, xt, &gram);
-  const float* pg = gram.data();
-  ThreadPool::Get().ParallelFor(
-      0, v, GrainForFlops(v), [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const double gii = pg[i * v + i];
-          float* drow = pd + i * v;
-          const float* grow = pg + i * v;
-          for (int64_t j = 0; j < v; ++j) {
-            const double g2 =
-                gii + pg[j * v + j] - 2.0 * static_cast<double>(grow[j]);
-            drow[j] = static_cast<float>(std::sqrt(std::max(g2, 0.0)));
-          }
-          drow[i] = 0.0f;
-        }
-      });
-  scratch.Reset();
+  WithFrameTopology(features, 1, 1, [&](FrameTopology& frame) {
+    std::copy(frame.distances(), frame.distances() + v * v, dist.data());
+  });
   return dist;
 }
 
@@ -57,34 +24,22 @@ std::vector<int64_t> NearestNeighbors(const Tensor& distances, int64_t vertex,
   int64_t v = distances.dim(0);
   DHGCN_CHECK(vertex >= 0 && vertex < v);
   DHGCN_CHECK(k >= 0 && k <= v - 1);
-  std::vector<int64_t> order;
-  order.reserve(static_cast<size_t>(v - 1));
-  for (int64_t j = 0; j < v; ++j) {
-    if (j != vertex) order.push_back(j);
-  }
-  const float* row = distances.data() + vertex * v;
-  std::stable_sort(order.begin(), order.end(), [row](int64_t a, int64_t b) {
-    if (row[a] != row[b]) return row[a] < row[b];
-    return a < b;
-  });
-  order.resize(static_cast<size_t>(k));
+  std::vector<int64_t> order(static_cast<size_t>(k));
+  SelectNearest(distances.data() + vertex * v, v, vertex, k, order.data());
   return order;
 }
 
-std::vector<Hyperedge> KnnHyperedges(const Tensor& features, int64_t k,
-                                     Workspace* ws) {
+std::vector<Hyperedge> KnnHyperedges(const Tensor& features, int64_t k) {
   DHGCN_CHECK_EQ(features.ndim(), 2);
-  int64_t v = features.dim(0);
-  DHGCN_CHECK(k >= 1 && k <= v);
-  Tensor dist = PairwiseDistances(features, ws);
+  const int64_t v = features.dim(0);
   std::vector<Hyperedge> edges;
   edges.reserve(static_cast<size_t>(v));
-  for (int64_t i = 0; i < v; ++i) {
-    Hyperedge e = {i};
-    std::vector<int64_t> nn = NearestNeighbors(dist, i, k - 1);
-    e.insert(e.end(), nn.begin(), nn.end());
-    edges.push_back(std::move(e));
-  }
+  WithFrameTopology(features, k, 1, [&](FrameTopology& frame) {
+    frame.SelectKnn();
+    for (int64_t i = 0; i < v; ++i) {
+      edges.emplace_back(frame.knn_edge(i), frame.knn_edge(i) + k);
+    }
+  });
   return edges;
 }
 

@@ -23,9 +23,9 @@ Tensor PairwiseDistances(const Tensor& features, Workspace* ws = nullptr);
 /// other vertices by Euclidean distance in `features` (V, F), so every
 /// hyperedge has exactly k vertices — the paper's "set containing N
 /// hyperedges with k_n nodes on each hyperedge". Requires 1 <= k <= V.
-/// Ties are broken toward lower vertex index for determinism.
-std::vector<Hyperedge> KnnHyperedges(const Tensor& features, int64_t k,
-                                     Workspace* ws = nullptr);
+/// Ties are broken toward lower vertex index for determinism; NaN
+/// distances rank after every number.
+std::vector<Hyperedge> KnnHyperedges(const Tensor& features, int64_t k);
 
 /// \brief Indices of the `k` nearest other vertices of `vertex` (excluding
 /// itself), sorted by ascending distance.

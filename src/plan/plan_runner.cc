@@ -95,29 +95,21 @@ const Tensor& PlanRunner::Run(const Tensor& input) {
       case PlanOpKind::kDynamicVertexMix:
         op.dyn_mix->MixPlan(in0, slots_[static_cast<size_t>(op.in1)], &out);
         break;
-      case PlanOpKind::kJointWeightOps: {
-        // Data-dependent values, static shape: run the exact layer-path
-        // function against the scratch arena, then snapshot the result
-        // into the pinned slot. Same function, same input ⇒ same bits.
-        const Tensor ops = DynamicJointWeightOperators(
-            in0, *op.hypergraph, &scratch_);
-        out.CopyFrom(ops);
-        scratch_.Reset();
+      case PlanOpKind::kJointWeightOps:
+        // Data-dependent values, static shape: the layer path's kernel
+        // writes straight into the pinned slot. Same function, same
+        // input => same bits.
+        DynamicJointWeightOperatorsInto(in0, *op.hypergraph, &out);
         break;
-      }
       case PlanOpKind::kStrideOps: {
         const Tensor ops = StrideOperatorsInTime(in0, op.stride, &scratch_);
         out.CopyFrom(ops);
         scratch_.Reset();
         break;
       }
-      case PlanOpKind::kTopologyOps: {
-        const Tensor ops =
-            DynamicTopologyOperators(in0, *op.topology, &scratch_);
-        out.CopyFrom(ops);
-        scratch_.Reset();
+      case PlanOpKind::kTopologyOps:
+        DynamicTopologyOperatorsInto(in0, *op.topology, &out);
         break;
-      }
       case PlanOpKind::kAccumulate:
         AddInPlace(out, in0);
         break;

@@ -15,6 +15,7 @@
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/dhgcn_model.h"
+#include "core/dynamic_topology.h"
 #include "data/dataloader.h"
 #include "data/dataset.h"
 #include "data/synthetic_generator.h"
@@ -493,6 +494,35 @@ TEST(ParallelDeterminism, SparseRoutedDynamicVertexMix) {
                     sizeof(float) * g.numel());
         return packed;
       });
+}
+
+// Flat dynamic-topology kernel: frames are partitioned across the pool
+// with per-chunk scratch. N·T = 70 exceeds the chunk cap, so chunks hold
+// several frames and the last one is ragged; C = 64 takes the blocked
+// Gram kernel.
+TEST(ParallelDeterminism, DynamicTopologyOperators) {
+  Rng rng(243);
+  Tensor x = Tensor::RandomNormal({2, 64, 35, 25}, rng);
+  DynamicTopologyOptions options;
+  ExpectDeterministicAcrossThreadCounts("DynamicTopologyOperators", [&] {
+    return DynamicTopologyOperators(x, options);
+  });
+  Workspace ws;
+  ExpectDeterministicAcrossThreadCounts("DynamicTopologyOperators(ws)", [&] {
+    ws.Reset();
+    return DynamicTopologyOperators(x, options, &ws).Clone();
+  });
+}
+
+TEST(ParallelDeterminism, DenseDynamicVertexMix) {
+  ScopedSparseMode off(SparseMode::kOff);
+  Rng rng(244);
+  Tensor ops = Tensor::RandomNormal({2, 9, 25, 25}, rng);
+  Tensor x = Tensor::RandomNormal({2, 16, 9, 25}, rng);
+  DynamicVertexMix mix;
+  mix.SetOperators(ops.Clone());
+  ExpectDeterministicAcrossThreadCounts("dense DynamicVertexMix",
+                                        [&] { return mix.Forward(x); });
 }
 
 // Pruned fine-tuned training: the magnitude selection is a strict total
