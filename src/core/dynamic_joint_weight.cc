@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "base/check.h"
-#include "hypergraph/hypergraph_conv.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/workspace.h"
 
@@ -55,6 +54,38 @@ void FillJointWeightIncidence(const float* frame_distances,
   }
 }
 
+// Omega = Imp Imp^T (Eq. 9) of one frame into `out` (V, V), edge by edge
+// in ascending order: each pair (a, b) of an edge's distinct members adds
+// double(imp[a][e]) * imp[b][e] to a double accumulator. The dense
+// (GemmTransposedB) and CSR (SpMMTransposedBInto) Imp Imp^T products take
+// the same terms in the same order plus zero products off the edge,
+// which are exact no-ops in the double sum, so for finite Imp the bits
+// are theirs.
+// `members` (V) and `acc` (V, V) are scratch.
+void JointWeightOperatorFromEdges(const float* imp,
+                                  const Hypergraph& hypergraph,
+                                  int64_t* members, double* acc, float* out) {
+  const int64_t v = hypergraph.num_vertices();
+  const int64_t num_edges = hypergraph.num_edges();
+  std::fill(acc, acc + v * v, 0.0);
+  for (int64_t e = 0; e < num_edges; ++e) {
+    int64_t size = 0;
+    for (int64_t vtx : hypergraph.edges()[static_cast<size_t>(e)]) {
+      if (std::find(members, members + size, vtx) == members + size) {
+        members[size++] = vtx;
+      }
+    }
+    for (int64_t a = 0; a < size; ++a) {
+      const double left = imp[members[a] * num_edges + e];
+      double* arow = acc + members[a] * v;
+      for (int64_t b = 0; b < size; ++b) {
+        arow[members[b]] += left * imp[members[b] * num_edges + e];
+      }
+    }
+  }
+  for (int64_t i = 0; i < v * v; ++i) out[i] = static_cast<float>(acc[i]);
+}
+
 }  // namespace
 
 Tensor MovingDistances(const Tensor& coords, Workspace* ws) {
@@ -99,11 +130,14 @@ void DynamicJointWeightOperatorsInto(const Tensor& coords,
   DHGCN_CHECK_GE(t, 2);
   DHGCN_CHECK(ShapesEqual(out->shape(), {n, t, v, v}));
   const int64_t num_edges = hypergraph.num_edges();
-  // One frame's moving distances (V) and incidence (V, E), reused
-  // across frames: no per-frame allocation.
+  // One frame's operator accumulator (V, V), edge members (V), moving
+  // distances (V) and incidence (V, E), reused across frames: no
+  // per-frame allocation.
   Workspace& scratch = detail::KernelOpScratch();
-  Tensor block = scratch.Acquire({v + v * num_edges});
-  float* dist = block.data();
+  Tensor block = scratch.Acquire({2 * v * v + 2 * v + v + v * num_edges});
+  double* acc = reinterpret_cast<double*>(block.data());
+  int64_t* members = reinterpret_cast<int64_t*>(acc + v * v);
+  float* dist = reinterpret_cast<float*>(members + v);
   float* imp = dist + v;
   float* po = out->data();
   for (int64_t b = 0; b < n; ++b) {
@@ -111,8 +145,8 @@ void DynamicJointWeightOperatorsInto(const Tensor& coords,
       FrameMovingDistances(coords, b, tt, dist);
       std::fill(imp, imp + v * num_edges, 0.0f);
       FillJointWeightIncidence(dist, hypergraph, imp);
-      WeightedIncidenceOperatorInto(imp, v, num_edges,
-                                    po + (b * t + tt) * v * v);
+      JointWeightOperatorFromEdges(imp, hypergraph, members, acc,
+                                   po + (b * t + tt) * v * v);
     }
   }
   scratch.Reset();

@@ -35,8 +35,11 @@ Tensor DynamicJointWeightOperators(const Tensor& coords,
 
 /// \brief DynamicJointWeightOperators into a pre-shaped (N, T, V, V)
 /// `out`: frame by frame on one reused scratch block, no per-frame
-/// allocation; same bits as composing MovingDistances,
-/// JointWeightIncidence and WeightedIncidenceOperator.
+/// allocation. Each operator is assembled from the hyperedges' member
+/// pairs; for finite coords it has the bits of MovingDistances and
+/// JointWeightIncidence followed by a dense or CSR Imp Imp^T product (a
+/// NaN coordinate poisons only the entries of pairs that share an edge
+/// with the NaN joint, see DESIGN.md §16).
 void DynamicJointWeightOperatorsInto(const Tensor& coords,
                                      const Hypergraph& hypergraph,
                                      Tensor* out);

@@ -1,10 +1,7 @@
 #include "core/dynamic_topology.h"
 
-#include <algorithm>
-
 #include "base/check.h"
 #include "base/rng.h"
-#include "base/thread_pool.h"
 #include "hypergraph/frame_topology.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/workspace.h"
@@ -12,11 +9,6 @@
 namespace dhgcn {
 
 namespace {
-
-// Upper bound on frame chunks per call: each chunk carves its own frame
-// scratch, so this caps the scratch block while leaving enough chunks to
-// balance a pool.
-constexpr int64_t kMaxTopologyChunks = 16;
 
 // The K-means seed of frame t (every sample's frame t draws the same
 // initial medoids).
@@ -70,37 +62,25 @@ void DynamicTopologyOperatorsInto(const Tensor& features,
   DHGCN_CHECK(ShapesEqual(out->shape(), {n, t, v, v}));
   DHGCN_CHECK(options.kn >= 1 && options.kn <= v);
   DHGCN_CHECK(options.km >= 1 && options.km <= v);
-  const int64_t frames = n * t;
-  if (frames == 0) return;
-  // Shape-only grain: whole frames per chunk, at most kMaxTopologyChunks
-  // chunks, each with its own frame scratch carved from one block that
-  // is borrowed on this thread before dispatch.
-  const int64_t grain =
-      std::max(GrainForFlops(v * v * c),
-               (frames + kMaxTopologyChunks - 1) / kMaxTopologyChunks);
-  const int64_t chunks = (frames + grain - 1) / grain;
-  const size_t frame_bytes =
-      FrameTopology::ScratchBytes(v, c, options.kn, options.km);
-  Workspace& scratch = detail::KernelOpScratch();
-  Tensor block = scratch.Acquire(
-      {chunks * static_cast<int64_t>(frame_bytes / sizeof(float))});
-  char* base = reinterpret_cast<char*>(block.data());
   const float* px = features.data();
   float* po = out->data();
-  ThreadPool::Get().ParallelFor(0, frames, grain, [&](int64_t f0, int64_t f1) {
-    FrameTopology frame(base + (f0 / grain) * frame_bytes, v, c, options.kn,
-                        options.km);
-    for (int64_t f = f0; f < f1; ++f) {
-      const int64_t b = f / t, tt = f % t;
-      frame.Load(px + (b * c * t + tt) * v, 1, t * v);
-      frame.ComputeDistances();
-      frame.SelectKnn();
-      Rng rng = FrameRng(options, static_cast<uint64_t>(tt));
-      frame.RunKMeans(rng, options.kmeans_max_iters);
-      frame.AssembleOperator(po + f * v * v);
-    }
-  });
-  scratch.Reset();
+  // Whole frames per chunk; each chunk runs its own FrameTopology on its
+  // own slice of the shared scratch block.
+  detail::ParallelForFrames(
+      n * t, v * v * c,
+      FrameTopology::ScratchBytes(v, c, options.kn, options.km),
+      [&](void* frame_scratch, int64_t f0, int64_t f1) {
+        FrameTopology frame(frame_scratch, v, c, options.kn, options.km);
+        for (int64_t f = f0; f < f1; ++f) {
+          const int64_t b = f / t, tt = f % t;
+          frame.Load(px + (b * c * t + tt) * v, 1, t * v);
+          frame.ComputeDistances();
+          frame.SelectKnn();
+          Rng rng = FrameRng(options, static_cast<uint64_t>(tt));
+          frame.RunKMeans(rng, options.kmeans_max_iters);
+          frame.AssembleOperator(po + f * v * v);
+        }
+      });
 }
 
 }  // namespace dhgcn

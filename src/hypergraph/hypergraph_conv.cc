@@ -29,8 +29,8 @@ CsrMatrix& IncidenceCsrScratch() {
   return scratch;
 }
 
-// First-decision-only debug log: the per-frame operator loops would
-// otherwise emit thousands of identical lines per step.
+// First-decision-only debug log: the routed ops run on every forward
+// step and would otherwise emit thousands of identical lines.
 void LogRouteOnce(bool* logged, const char* what, double density,
                   bool routed) {
   if (logged == nullptr || *logged) return;
@@ -87,40 +87,6 @@ Tensor NormalizedHypergraphOperator(const Hypergraph& hypergraph,
     MatMulTransposedBInto(left, right, &omega);
   }
   return omega;
-}
-
-Tensor WeightedIncidenceOperator(const Tensor& imp, Workspace* ws) {
-  DHGCN_CHECK_EQ(imp.ndim(), 2);
-  Tensor out = NewTensor(ws, {imp.dim(0), imp.dim(0)});
-  WeightedIncidenceOperatorInto(imp.data(), imp.dim(0), imp.dim(1),
-                                out.data());
-  return out;
-}
-
-void WeightedIncidenceOperatorInto(const float* imp, int64_t rows,
-                                   int64_t cols, float* out) {
-  double density = SparseRouter::MeasureDensity(imp, rows * cols);
-  bool routed = SparseRouter::Get().ShouldRoute(density);
-  static bool logged = false;
-  LogRouteOnce(&logged, "WeightedIncidenceOperator", density, routed);
-  // out[i][j] is the ascending-e double dot of rows i and j — the dense
-  // GemmTransposedB terms. The CSR route compresses the right operand,
-  // dropping the entries that are not |x| > 0 (zeros, and NaN), so it
-  // skips exactly those terms; replaying that skip keeps both routes'
-  // bits, non-finite inputs included, with no CSR image or tensor per
-  // call.
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* irow = imp + i * cols;
-    for (int64_t j = 0; j < rows; ++j) {
-      const float* jrow = imp + j * cols;
-      double acc = 0.0;
-      for (int64_t e = 0; e < cols; ++e) {
-        if (routed && !(std::fabs(jrow[e]) > 0.0f)) continue;
-        acc += static_cast<double>(irow[e]) * jrow[e];
-      }
-      out[i * rows + j] = static_cast<float>(acc);
-    }
-  }
 }
 
 VertexMix::VertexMix(Tensor op, bool learnable)
@@ -351,47 +317,38 @@ void DynamicVertexMix::MixPlan(const Tensor& input, const Tensor& ops,
   // lanes only ever hold zeros times inputs and are never stored.
   constexpr int64_t kMixTile = 8;
   const int64_t vp = (v + kMixTile - 1) / kMixTile * kMixTile;
-  // Shape-only grain; at most kMaxMixChunks chunks, each with its own
-  // operator scratch.
-  constexpr int64_t kMaxMixChunks = 16;
-  const int64_t frames = n * t;
-  const int64_t grain =
-      std::max(GrainForFlops(c * v * v),
-               (frames + kMaxMixChunks - 1) / kMaxMixChunks);
-  const int64_t chunks = (frames + grain - 1) / grain;
-  Workspace& scratch = detail::KernelOpScratch();
-  // (V, vp) doubles per chunk, as float pairs.
-  Tensor block = scratch.Acquire({chunks * v * vp * 2});
-  double* base = reinterpret_cast<double*>(block.data());
-  ThreadPool::Get().ParallelFor(0, frames, grain, [&](int64_t f0, int64_t f1) {
-    double* mt = base + (f0 / grain) * v * vp;  // (V, vp): mt[u][vi]
-    for (int64_t f = f0; f < f1; ++f) {
-      const int64_t b = f / t, tt = f % t;
-      const float* m = pops + f * v * v;
-      for (int64_t u = 0; u < v; ++u) {
-        double* mtrow = mt + u * vp;
-        for (int64_t vi = 0; vi < v; ++vi) mtrow[vi] = m[vi * v + u];
-        for (int64_t vi = v; vi < vp; ++vi) mtrow[vi] = 0.0;
-      }
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* xrow = px + ((b * c + ch) * t + tt) * v;
-        float* orow = po + ((b * c + ch) * t + tt) * v;
-        for (int64_t v0 = 0; v0 < v; v0 += kMixTile) {
-          double acc[kMixTile] = {};
+  // Each chunk transposes its frames' operators into its own (V, vp)
+  // double scratch: mt[u][vi].
+  detail::ParallelForFrames(
+      n * t, c * v * v, static_cast<size_t>(v * vp) * sizeof(double),
+      [&](void* chunk_scratch, int64_t f0, int64_t f1) {
+        double* mt = static_cast<double*>(chunk_scratch);
+        for (int64_t f = f0; f < f1; ++f) {
+          const int64_t b = f / t, tt = f % t;
+          const float* m = pops + f * v * v;
           for (int64_t u = 0; u < v; ++u) {
-            const double xu = xrow[u];
-            const double* mtile = mt + u * vp + v0;
-            for (int64_t j = 0; j < kMixTile; ++j) acc[j] += mtile[j] * xu;
+            double* mtrow = mt + u * vp;
+            for (int64_t vi = 0; vi < v; ++vi) mtrow[vi] = m[vi * v + u];
+            for (int64_t vi = v; vi < vp; ++vi) mtrow[vi] = 0.0;
           }
-          const int64_t cols = std::min(kMixTile, v - v0);
-          for (int64_t j = 0; j < cols; ++j) {
-            orow[v0 + j] = static_cast<float>(acc[j]);
+          for (int64_t ch = 0; ch < c; ++ch) {
+            const float* xrow = px + ((b * c + ch) * t + tt) * v;
+            float* orow = po + ((b * c + ch) * t + tt) * v;
+            for (int64_t v0 = 0; v0 < v; v0 += kMixTile) {
+              double acc[kMixTile] = {};
+              for (int64_t u = 0; u < v; ++u) {
+                const double xu = xrow[u];
+                const double* mtile = mt + u * vp + v0;
+                for (int64_t j = 0; j < kMixTile; ++j) acc[j] += mtile[j] * xu;
+              }
+              const int64_t cols = std::min(kMixTile, v - v0);
+              for (int64_t j = 0; j < cols; ++j) {
+                orow[v0 + j] = static_cast<float>(acc[j]);
+              }
+            }
           }
         }
-      }
-    }
-  });
-  scratch.Reset();
+      });
 }
 
 Tensor DynamicVertexMix::BackwardImpl(const Tensor& grad_output, Workspace* ws) {

@@ -22,17 +22,6 @@ namespace dhgcn {
 Tensor NormalizedHypergraphOperator(const Hypergraph& hypergraph,
                                     Workspace* ws = nullptr);
 
-/// \brief Operator from a weighted incidence matrix (Eqs. 8–9):
-/// given Imp = W_all ⊙ H of shape (V, E), returns Imp Imp^T of shape (V, V).
-Tensor WeightedIncidenceOperator(const Tensor& imp,
-                                 Workspace* ws = nullptr);
-
-/// \brief WeightedIncidenceOperator on raw row-major buffers: `imp`
-/// (rows, cols) -> `out` (rows, rows). Allocation-free, serial, and
-/// bit-identical to both router paths of the tensor version.
-void WeightedIncidenceOperatorInto(const float* imp, int64_t rows,
-                                   int64_t cols, float* out);
-
 /// \brief Applies a (V, V) vertex-mixing operator to (N, C, T, V) inputs:
 ///   Y[n,c,t,v] = sum_u M[v,u] X[n,c,t,u].
 ///

@@ -1,8 +1,11 @@
 #ifndef DHGCN_TENSOR_GEMM_KERNEL_H_
 #define DHGCN_TENSOR_GEMM_KERNEL_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
+#include "base/thread_pool.h"
 #include "tensor/workspace.h"
 
 namespace dhgcn {
@@ -74,6 +77,40 @@ Workspace& GemmPackScratch();
 /// GemmPackScratch: acquire on the driving thread, Reset() at the end of
 /// the op, never let a borrow escape the op that acquired it.
 Workspace& KernelOpScratch();
+
+/// Upper bound on chunks per ParallelForFrames call: each chunk carves
+/// its own scratch, so this caps the borrowed block (and peak RSS) while
+/// leaving enough chunks to balance a pool.
+constexpr int64_t kMaxFrameChunks = 16;
+
+/// Runs `fn(chunk_scratch, f0, f1)` over frames [0, frames) in
+/// whole-frame ParallelFor chunks. The grain depends only on the shape
+/// (GrainForFlops of `flops_per_frame`, and at most kMaxFrameChunks
+/// chunks), so chunk boundaries are the same for every thread count.
+/// Each chunk gets its own 64-byte-aligned `bytes_per_chunk` bytes,
+/// carved from one KernelOpScratch block borrowed on the calling thread
+/// before dispatch and released when all chunks are done.
+template <typename Fn>
+void ParallelForFrames(int64_t frames, int64_t flops_per_frame,
+                       size_t bytes_per_chunk, Fn&& fn) {
+  if (frames <= 0) return;
+  const int64_t grain =
+      std::max(GrainForFlops(flops_per_frame),
+               (frames + kMaxFrameChunks - 1) / kMaxFrameChunks);
+  const int64_t chunks = (frames + grain - 1) / grain;
+  constexpr size_t kAlign = Workspace::kAlignment;
+  const size_t stride = (bytes_per_chunk + kAlign - 1) / kAlign * kAlign;
+  Workspace& scratch = KernelOpScratch();
+  Tensor block = scratch.Acquire(
+      {static_cast<int64_t>(static_cast<size_t>(chunks) * stride /
+                            sizeof(float))});
+  char* base = reinterpret_cast<char*>(block.data());
+  ThreadPool::Get().ParallelFor(0, frames, grain, [&](int64_t f0, int64_t f1) {
+    fn(static_cast<void*>(base + static_cast<size_t>(f0 / grain) * stride),
+       f0, f1);
+  });
+  scratch.Reset();
+}
 
 }  // namespace detail
 }  // namespace dhgcn

@@ -130,11 +130,10 @@ TEST(AllocBudgetTest, TrainerWorkspacePathAllocatesFarLessThanLegacy) {
   EXPECT_GT(planned[1].tensor_alloc_bytes, 0u);  // batch assembly remains
 
   // Epoch 2 on the workspace path is steady state: only batch assembly
-  // still allocates, so beyond it the legacy path must allocate at least
-  // 10x more (the model side of the workspace path allocates nothing).
+  // still allocates (its model side allocates nothing), while the legacy
+  // path still allocates model-side tensors on top of it.
   EXPECT_EQ(planned[1].tensor_allocations, batch_allocs);
-  EXPECT_LT((planned[1].tensor_allocations - batch_allocs) * 10,
-            legacy[1].tensor_allocations - batch_allocs);
+  EXPECT_GT(legacy[1].tensor_allocations, batch_allocs);
 }
 
 // The legacy SpMM/SpMMAccumulate entry points allocate an owning result

@@ -203,16 +203,6 @@ TEST(HypergraphConvTest, EdgeWeightScalesContribution) {
   EXPECT_NEAR(op_heavy.at(0, 1), 0.5f, 1e-6f);
 }
 
-TEST(HypergraphConvTest, WeightedIncidenceOperator) {
-  Tensor imp = Tensor::FromVector({2, 1}, {0.25f, 0.75f});
-  Tensor op = WeightedIncidenceOperator(imp);
-  EXPECT_EQ(op.shape(), (Shape{2, 2}));
-  EXPECT_NEAR(op.at(0, 0), 0.0625f, 1e-6f);
-  EXPECT_NEAR(op.at(0, 1), 0.1875f, 1e-6f);
-  EXPECT_NEAR(op.at(1, 1), 0.5625f, 1e-6f);
-  EXPECT_TRUE(AllClose(op, Transpose2D(op)));
-}
-
 TEST(VertexMixTest, AppliesOperatorOnVertexAxis) {
   // Operator that swaps two vertices.
   Tensor swap = Tensor::FromVector({2, 2}, {0, 1, 1, 0});
